@@ -1,5 +1,6 @@
-// Benchmark harness: one testing.B benchmark per experiment in DESIGN.md's
-// index (E1–E9), regenerating the paper's Figure 2 measurement and the
+// Benchmark harness: one testing.B benchmark per experiment of
+// internal/experiments.All (E1–E9; the README's Performance section
+// describes the suite), regenerating the paper's Figure 2 measurement and the
 // per-theorem scaling behaviours, plus micro-benchmarks of the substrate
 // data structures. The experiment bodies live in internal/benchsuite so
 // the same measurements feed both `go test -bench` and the tracked

@@ -2,7 +2,8 @@
 //
 // Every table/figure of "Beyond Worst-case Analysis for Joins with
 // Minesweeper" (PODS 2014) plus one measured experiment per quantitative
-// theorem is available by name (see DESIGN.md's experiment index):
+// theorem is available by name (the index is internal/experiments.All;
+// the README's Performance section describes the suite):
 //
 //	msbench -exp fig2        # Figure 2: N vs |C| on star/3-path/tree
 //	msbench -exp appj        # Appendix J: Minesweeper vs WCOJ baselines

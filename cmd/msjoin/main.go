@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"minesweeper"
@@ -127,17 +128,15 @@ func main() {
 	}
 	fmt.Printf("-- vars: %s\n", strings.Join(pq.OutputVars(), " "))
 	w := bufio.NewWriter(os.Stdout)
+	// Each line is rendered into one reused buffer: fmt.Fprint would
+	// box every value.
+	var line []byte
 	count := 0
 	stats, err := pq.StreamContext(ctx, func(tup []int) bool {
 		count++
 		if !*quiet {
-			for i, v := range tup {
-				if i > 0 {
-					fmt.Fprint(w, " ")
-				}
-				fmt.Fprint(w, v)
-			}
-			fmt.Fprintln(w)
+			line = appendTupleLine(line[:0], tup)
+			w.Write(line)
 		}
 		return *limitFlag <= 0 || count < *limitFlag
 	})
@@ -169,6 +168,17 @@ func main() {
 	if timedOut {
 		os.Exit(3)
 	}
+}
+
+// appendTupleLine renders one output tuple as a space-separated line.
+func appendTupleLine(buf []byte, tup []int) []byte {
+	for i, v := range tup {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = strconv.AppendInt(buf, int64(v), 10)
+	}
+	return append(buf, '\n')
 }
 
 // formatExplain renders the -explain line: the chosen GAO, its

@@ -161,3 +161,25 @@ func TestExplainFlag(t *testing.T) {
 		t.Errorf("forced explain line %q", forced)
 	}
 }
+
+// TestAppendTupleLineMatchesFmt pins the output line format to the
+// fmt rendering it replaced: values separated by one space, newline
+// terminated, negative and extreme values included.
+func TestAppendTupleLineMatchesFmt(t *testing.T) {
+	tuples := [][]int{{}, {0}, {1, 2}, {-7, 0, 42}, {-1 << 63, 1<<63 - 1}, {10007, 3, 5, 9}}
+	var line []byte
+	for _, tup := range tuples {
+		var want strings.Builder
+		for i, v := range tup {
+			if i > 0 {
+				fmt.Fprint(&want, " ")
+			}
+			fmt.Fprint(&want, v)
+		}
+		fmt.Fprintln(&want)
+		line = appendTupleLine(line[:0], tup)
+		if string(line) != want.String() {
+			t.Fatalf("appendTupleLine(%v) = %q, want %q", tup, line, want.String())
+		}
+	}
+}

@@ -22,8 +22,9 @@
 //	GET    /readyz                  readiness probe (503 while degraded read-only or draining)
 //
 // Run responses are NDJSON: a header line with the output variable
-// order, one JSON array per tuple (streamed as the engine finds them),
-// and a footer line with the run's stats. A timeout ends the stream
+// order, one JSON array per tuple (streamed as the engine finds them:
+// the first at once, later ones batched up to 32 KiB or 20 ms), and a
+// footer line with the run's stats. A timeout ends the stream
 // early but cleanly: the tuples already found are on the wire and the
 // footer says "timed_out": true.
 //
@@ -206,7 +207,7 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -252,4 +253,24 @@ func main() {
 		log.Printf("closing storage: %v", err)
 	}
 	log.Printf("msserve stopped")
+}
+
+// Timeouts at the HTTP edge. A client gets readHeaderTimeout to send
+// its request headers and a keep-alive connection is closed after
+// idleTimeout without a request, so slow or abandoned connections
+// cannot pin server resources. There is deliberately no WriteTimeout:
+// a run's NDJSON stream lives as long as the run (bounded by
+// -run-timeout), and a write deadline would cut long streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -931,6 +931,11 @@ func (s *server) handleAdhocQuery(w http.ResponseWriter, r *http.Request) {
 // and the footer reports the cut ("timed_out", "canceled", "aborted"
 // or "error").
 //
+// Lines are buffered, not flushed one by one: the header goes out
+// together with the first tuple, later tuples reach the client once
+// 32 KiB have collected or the oldest has waited 20 ms (even while
+// the engine is stalled), and the footer flushes whatever remains.
+//
 // The 200 status and NDJSON header are written lazily, at the first
 // output tuple (or at successful completion): a run that dies before
 // producing anything gets a real HTTP status instead of a 200 with a
@@ -1015,13 +1020,10 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registere
 	s.addStream(h)
 	defer s.removeStream(h)
 
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	// Header, tuple lines and footer all go through one buffered
+	// writer; see streamWriter for when its bytes reach the wire.
+	sw := newStreamWriter(w)
+	enc := json.NewEncoder(sw)
 	// "vars" is the column order of the tuple lines (projection or
 	// first-appearance order); "gao" is the evaluation order the stream
 	// is sorted by. They are distinct invariants — see Result.Vars/GAO.
@@ -1039,7 +1041,6 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registere
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		enc.Encode(map[string]any{"vars": pq.OutputVars(), "engine": pq.Engine().String(), "gao": headerExplain.GAO})
-		flush()
 	}
 
 	// Tuples are encoded by hand into one per-stream scratch buffer —
@@ -1061,14 +1062,23 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registere
 			if s.cfg.emitHook != nil {
 				s.cfg.emitHook(t)
 			}
+			first := !started
 			start()
 			line = appendTupleLine(line[:0], t)
-			w.Write(line)
-			flush()
+			// A failed write needs no handling here: net/http cancels
+			// the request context on it, which ends the run.
+			sw.Write(line)
+			if first {
+				sw.flush() // header and first tuple go out at once
+			}
 			count++
 			return params.limit <= 0 || count < params.limit
 		})
 	}()
+
+	// The delay timer must be idle before the footer goes out and
+	// before the handler returns.
+	sw.stop()
 
 	// Classify the outcome. A DeadlineExceeded can only come from the
 	// run's own timer (server deadline or the client's requested
@@ -1110,7 +1120,7 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registere
 			footer["error"] = runErr.Error()
 		}
 		enc.Encode(footer)
-		flush()
+		sw.flush()
 	}
 
 	rq.runs.Add(1)

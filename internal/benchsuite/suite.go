@@ -1,5 +1,5 @@
 // Package benchsuite defines the repo's tracked benchmark suite: one
-// entry per experiment of DESIGN.md's index (E1–E9), the selection
+// entry per experiment of internal/experiments.All (E1–E9), the selection
 // pushdown and streaming aggregation workloads (E10/E11), and the CDS /
 // hot path micro-benchmarks, each runnable both as a conventional testing.B
 // benchmark (bench_test.go delegates here) and programmatically via

@@ -1,6 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation, plus one measured experiment per quantitative theorem
-// (see DESIGN.md's experiment index E1–E9). Each experiment returns a
+// (E1–E9, indexed by All; the README's Performance section describes
+// the suite). Each experiment returns a
 // Table so the msbench command can print it and the benchmark suite can
 // assert on its shape.
 package experiments
@@ -37,7 +38,8 @@ const (
 // Runner computes one experiment.
 type Runner func(scale Scale) (*Table, error)
 
-// All lists every experiment in DESIGN.md order.
+// All is the experiment index: every experiment by name, in the order
+// `msbench -exp all` runs them.
 func All() []struct {
 	Name string
 	Run  Runner
